@@ -221,6 +221,24 @@ const allocSlack = 16
 // race-detector-independent.
 const warmEpochRatioCeiling = 0.2
 
+// churnEpochRatioCeiling bounds the ReequilibrateChurn/ReequilibrateChurnCold
+// time ratio at the largest scale: an epoch after one provider was admitted
+// or retired, served by the incremental transport repair, must stay at
+// least 10x faster than the cold solve in the same run.
+const churnEpochRatioCeiling = 0.1
+
+// warmTwins pairs each warm epoch family with the cold family it is timed
+// against in the same run and the ratio ceiling it must meet at the
+// largest scale.
+var warmTwins = map[string]struct {
+	cold    string
+	ceiling float64
+}{
+	"ReequilibrateWarm":  {"Reequilibrate", warmEpochRatioCeiling},
+	"ReequilibrateIdle":  {"ReequilibrateIdleCold", warmEpochRatioCeiling},
+	"ReequilibrateChurn": {"ReequilibrateChurnCold", churnEpochRatioCeiling},
+}
+
 // multiTenantCeiling bounds the MultiTenantAdmission 8-tenant/1-tenant
 // time ratio. One 8-tenant op performs 8 concurrent admissions, so
 // perfectly isolated tenant loops cost 8/min(8,GOMAXPROCS) single-tenant
@@ -278,22 +296,23 @@ func benchCompare(w io.Writer, path string, minDur time.Duration, maxIters int) 
 			failures = append(failures, fmt.Sprintf("%s: allocs/op %.0f vs baseline %.0f",
 				r.Name, r.AllocsPerOp, b.AllocsPerOp))
 		}
-		if fam == "ReequilibrateWarm" {
-			// The warm case pairs with the cold Reequilibrate twin at the
-			// same scale instead of a Naive one.
-			curR, okC := ratio(cur, r.Name, "Reequilibrate/"+sc)
+		if tw, ok := warmTwins[fam]; ok {
+			// A warm epoch case pairs with its cold twin at the same scale
+			// instead of a Naive one.
+			cold := tw.cold + "/" + sc
+			curR, okC := ratio(cur, r.Name, cold)
 			if !okC {
 				continue
 			}
 			status := "ok"
-			if sc == "250x100" && curR > warmEpochRatioCeiling {
+			if sc == "250x100" && curR > tw.ceiling {
 				status = "REGRESSED"
 				failures = append(failures, fmt.Sprintf(
 					"%s: warm/cold time ratio %.3f above the %.0fx-speedup ceiling %.2f",
-					r.Name, curR, 1/warmEpochRatioCeiling, warmEpochRatioCeiling))
+					r.Name, curR, 1/tw.ceiling, tw.ceiling))
 			}
-			if baseR, okB := ratio(base, r.Name, "Reequilibrate/"+sc); okB {
-				if curR > baseR*ratioTolerance && curR > warmEpochRatioCeiling {
+			if baseR, okB := ratio(base, r.Name, cold); okB {
+				if curR > baseR*ratioTolerance && curR > tw.ceiling {
 					status = "REGRESSED"
 					failures = append(failures, fmt.Sprintf("%s: warm/cold time ratio %.3f vs baseline %.3f",
 						r.Name, curR, baseR))

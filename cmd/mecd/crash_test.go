@@ -100,6 +100,48 @@ func (d *daemonProc) terminate(t *testing.T) {
 	}
 }
 
+// TestDaemonSIGTERMAtReadiness signals the daemon the instant its
+// -port-file appears, as a supervisor may: the daemon must already be
+// catching the signal and shut down gracefully (exit 0), not die by the
+// default SIGTERM action.
+func TestDaemonSIGTERMAtReadiness(t *testing.T) {
+	for i := 0; i < 5; i++ {
+		portFile := filepath.Join(t.TempDir(), "port")
+		cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-port-file", portFile, "-size", "50")
+		cmd.Env = append(os.Environ(), "MECD_CRASH_HELPER=1")
+		stderr := new(bytes.Buffer)
+		cmd.Stderr = stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		waitc := make(chan error, 1)
+		go func() { waitc <- cmd.Wait() }()
+		deadline := time.Now().Add(15 * time.Second)
+		for {
+			if _, err := os.Stat(portFile); err == nil {
+				break
+			}
+			if time.Now().After(deadline) {
+				cmd.Process.Kill()
+				<-waitc
+				t.Fatalf("daemon never wrote its port file\n%s", stderr.String())
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		cmd.Process.Signal(syscall.SIGTERM)
+		select {
+		case err := <-waitc:
+			if err != nil {
+				t.Fatalf("run %d: SIGTERM at readiness: %v\n%s", i, err, stderr.String())
+			}
+		case <-time.After(15 * time.Second):
+			cmd.Process.Kill()
+			<-waitc
+			t.Fatalf("run %d: daemon ignored SIGTERM for 15s", i)
+		}
+	}
+}
+
 // marketBody fetches the raw /v1/market document: the byte-level state the
 // differential comparison runs on.
 func marketBody(t *testing.T, url string) []byte {

@@ -204,6 +204,18 @@ func run(w io.Writer, args []string, stop <-chan struct{}) error {
 		"defaultTenant", *defaultTenant, "maxResidentTenants", *maxResident,
 		"version", build.Version, "revision", build.Revision, "go", build.GoVersion)
 
+	// Catch SIGINT/SIGTERM before readiness is announced: a supervisor may
+	// signal the moment -port-file appears, and a signal arriving before
+	// Notify would kill the daemon with the default action instead of
+	// shutting it down gracefully. With a stop channel (tests), sig stays
+	// nil and never fires.
+	var sig chan os.Signal
+	if stop == nil {
+		sig = make(chan os.Signal, 1)
+		signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+		defer signal.Stop(sig)
+	}
+
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -225,22 +237,12 @@ func run(w io.Writer, args []string, stop <-chan struct{}) error {
 		}
 	}
 
-	if stop == nil {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-		defer signal.Stop(sig)
-		select {
-		case err := <-serveErr:
-			return err
-		case s := <-sig:
-			logger.Info("shutting down", "signal", s.String())
-		}
-	} else {
-		select {
-		case err := <-serveErr:
-			return err
-		case <-stop:
-		}
+	select {
+	case err := <-serveErr:
+		return err
+	case s := <-sig:
+		logger.Info("shutting down", "signal", s.String())
+	case <-stop:
 	}
 
 	// Drain HTTP first so no handler is left waiting on a loop, then stop

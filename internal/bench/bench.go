@@ -158,6 +158,89 @@ func reequilibrateWarmCase(sc scale) Case {
 	}
 }
 
+// epochName suffixes the cold twin of an epoch case with "Cold".
+func epochName(family string, sc scale, warm bool) string {
+	if !warm {
+		family += "Cold"
+	}
+	return fmt.Sprintf("%s/%s", family, sc.name)
+}
+
+// reequilibrateChurnCase times the epoch production runs between provider
+// churn, as mecd's loop and the dynamic simulator do: every op bumps the
+// seed, alternately admits one new provider (placed by best response) or
+// retires the oldest (index 0, so every later row shifts), and then
+// re-equilibrates. The warm case carries one EpochSolveState across ops;
+// its cold twin solves from scratch. mecbench -bench-check bounds the
+// warm/cold ratio at the largest scale.
+func reequilibrateChurnCase(sc scale, warm bool) Case {
+	return Case{
+		Name: epochName("ReequilibrateChurn", sc, warm),
+		Setup: func() (func() error, error) {
+			m, err := benchMarket(sc)
+			if err != nil {
+				return nil, err
+			}
+			pl := joinedPlacement(m)
+			wl := benchWorkload(sc)
+			var st dynamic.EpochSolveState
+			opts := dynamic.EpochOptions{Xi: 0.7, Seed: benchSeed, MigrationAware: true}
+			if warm {
+				opts.State = &st
+			}
+			var op uint64
+			return func() error {
+				op++
+				opts.Seed++
+				if op%2 == 1 {
+					p := wl.DrawProvider(rng.Substream(benchSeed, op), len(m.Net.DCs), m.Net.Topo.N())
+					l, err := m.AppendProvider(p)
+					if err != nil {
+						return err
+					}
+					pl = append(pl, mec.Remote)
+					pl[l] = dynamic.BestResponseAvoidingFailed(m, pl, l, nil)
+				} else {
+					if err := m.RemoveProvider(0); err != nil {
+						return err
+					}
+					pl = pl[1:]
+				}
+				next, _, err := dynamic.Reequilibrate(m, pl, opts)
+				pl = next
+				return err
+			}, nil
+		},
+	}
+}
+
+// reequilibrateIdleCase times an epoch on an unchanged market with the
+// seed bumped every op, the production shape of an epoch nobody churned
+// before: the full-result cache misses on the seed, so the warm case is
+// served by the transport state's exact hit.
+func reequilibrateIdleCase(sc scale, warm bool) Case {
+	return Case{
+		Name: epochName("ReequilibrateIdle", sc, warm),
+		Setup: func() (func() error, error) {
+			m, err := benchMarket(sc)
+			if err != nil {
+				return nil, err
+			}
+			pl := joinedPlacement(m)
+			var st dynamic.EpochSolveState
+			opts := dynamic.EpochOptions{Xi: 0.7, Seed: benchSeed, MigrationAware: true}
+			if warm {
+				opts.State = &st
+			}
+			return func() error {
+				opts.Seed++
+				_, _, err := dynamic.Reequilibrate(m, pl, opts)
+				return err
+			}, nil
+		},
+	}
+}
+
 func admissionCase(sc scale) Case {
 	return Case{
 		Name: fmt.Sprintf("DaemonAdmission/%s", sc.name),
@@ -344,6 +427,13 @@ func Cases() []Case {
 			admissionCase(sc),
 		)
 	}
+	top := scales[len(scales)-1]
+	cs = append(cs,
+		reequilibrateChurnCase(top, true),
+		reequilibrateChurnCase(top, false),
+		reequilibrateIdleCase(top, true),
+		reequilibrateIdleCase(top, false),
+	)
 	cs = append(cs, multiTenantAdmissionCase(1), multiTenantAdmissionCase(8))
 	return cs
 }

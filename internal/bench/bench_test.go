@@ -50,17 +50,28 @@ func TestCasesWellFormed(t *testing.T) {
 		if fam == "ReequilibrateWarm" && !seen["Reequilibrate/"+sc] {
 			t.Fatalf("case %q has no cold twin", name)
 		}
+		if (fam == "ReequilibrateChurn" || fam == "ReequilibrateIdle") && !seen[fam+"Cold/"+sc] {
+			t.Fatalf("case %q has no cold twin", name)
+		}
 	}
 	for _, c := range Cases() {
-		if !strings.HasSuffix(c.Name, "/50x25") && c.Name != "MultiTenantAdmission/1tenant" {
-			continue
+		// The churn and idle cases exist only at the largest scale; two ops
+		// cover both the admit and the retire step.
+		ops := 2
+		if !strings.HasPrefix(c.Name, "ReequilibrateChurn") && !strings.HasPrefix(c.Name, "ReequilibrateIdle") {
+			if !strings.HasSuffix(c.Name, "/50x25") && c.Name != "MultiTenantAdmission/1tenant" {
+				continue
+			}
+			ops = 1
 		}
 		op, err := c.Setup()
 		if err != nil {
 			t.Fatalf("%s: setup: %v", c.Name, err)
 		}
-		if err := op(); err != nil {
-			t.Fatalf("%s: op: %v", c.Name, err)
+		for i := 0; i < ops; i++ {
+			if err := op(); err != nil {
+				t.Fatalf("%s: op: %v", c.Name, err)
+			}
 		}
 	}
 }

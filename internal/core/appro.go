@@ -147,13 +147,24 @@ func Appro(m *mec.Market, opts ApproOptions) (*ApproResult, error) {
 	if st := opts.State; st != nil {
 		st.LastResultHit = false
 		st.LastSolver = solver
+		st.LastTier = TierCold
 		switch solver {
 		case SolverTransport:
-			// Warm = the reduction fingerprint matched exactly (solve
-			// skipped) or the cached network was repriced in place.
-			st.LastWarm = st.transport.LastWarm || st.transport.Patched > prevPatched
+			switch {
+			case st.transport.LastWarm:
+				st.LastTier = TierExact
+			case st.transport.Patched > prevPatched:
+				st.LastTier = TierIncremental
+			}
+			st.LastWarm = st.LastTier != TierCold
 		case SolverShmoysTardos:
 			st.LastWarm = st.rounding.LastWarm
+			switch {
+			case st.rounding.LastWarm:
+				st.LastTier = TierExact
+			case st.rounding.LastCompReused > 0:
+				st.LastTier = TierRounding
+			}
 		}
 	}
 

@@ -72,8 +72,9 @@ type LCFOptions struct {
 	// benchmark-baseline hook; the result must be identical either way.
 	Reference bool
 	// State, when non-nil, warm-starts the solve from the previous epoch:
-	// the GAP reduction caches revalidate against the market fingerprint,
-	// and a fully identical invocation returns the cached LCF result
+	// the GAP reduction caches revalidate against the previous reduction
+	// (and repair small changes), and a fully identical invocation, keyed
+	// on the market fingerprint, returns the cached LCF result
 	// outright. Tracing bypasses the full-result cache (events must still
 	// fire) but keeps the GAP-level reuse. Results are byte-identical with
 	// or without a state.
@@ -163,6 +164,7 @@ func LCF(m *mec.Market, opts LCFOptions) (*LCFResult, error) {
 			st.LCFHits++
 			st.LastResultHit = true
 			st.LastWarm = true
+			st.LastTier = TierResult
 			st.LastSolver = st.lcfRes.Appro.SolverUsed
 			return cloneLCFResult(st.lcfRes), nil
 		}

@@ -12,10 +12,11 @@ import (
 // re-optimization epochs. It layers three reuse levels, every one of them
 // byte-identical to the cold solve it replaces:
 //
-//  1. the GAP transport network and its row fingerprints
-//     (gap.TransportState): an unchanged reduction returns the cached
-//     assignment, small per-row deltas re-solve the repriced network in
-//     place, structural changes rebuild into the retained arena;
+//  1. the GAP transport solve (gap.TransportState): an unchanged reduction
+//     returns the cached assignment, a few changed provider rows are
+//     repaired incrementally from the cached flow (one augmenting path per
+//     change, kept only when certified the unique optimum), anything else
+//     is solved cold into the retained arena;
 //  2. the Shmoys-Tardos rounding components (gap.RoundingState): only
 //     connected components of the item-slot graph whose columns changed are
 //     re-matched, untouched components keep their integral assignments;
@@ -40,12 +41,31 @@ type EpochSolveState struct {
 	// LastSolver is the GAP engine the most recent solve used (or would
 	// have used, on a full-result hit).
 	LastSolver Solver
-	// LastWarm reports whether the most recent solve reused any cached
-	// work: a full-result hit, a transport exact hit or patch, or at least
-	// one reused rounding component.
+	// LastWarm reports whether the most recent solve reused cached work: a
+	// full-result hit, a transport exact hit or incremental repair, or a
+	// rounding exact hit.
 	LastWarm bool
 	// LastResultHit reports a full LCF result cache hit specifically.
 	LastResultHit bool
+	// LastTier names the tier that served the most recent solve.
+	LastTier WarmTier
+}
+
+// WarmTier names the cache tier that served one epoch solve.
+type WarmTier string
+
+// Warm tiers, from the cheapest hit to a full solve.
+const (
+	TierResult      WarmTier = "result"      // full LCF result cache hit
+	TierExact       WarmTier = "exact"       // unchanged GAP reduction: cached assignment
+	TierIncremental WarmTier = "incremental" // transport solve repaired from the cached flow
+	TierRounding    WarmTier = "rounding"    // only changed rounding components re-matched
+	TierCold        WarmTier = "cold"        // the GAP reduction was solved from scratch
+)
+
+// WarmTiers lists every tier, for callers that pre-register per-tier series.
+func WarmTiers() []WarmTier {
+	return []WarmTier{TierResult, TierExact, TierIncremental, TierRounding, TierCold}
 }
 
 // Invalidate drops every cached layer; the next solve runs fully cold.
@@ -59,8 +79,9 @@ func (st *EpochSolveState) Invalidate() {
 	st.lcfRes = nil
 }
 
-// TransportStats exposes the transport-layer counters (hits, misses,
-// patched re-solves) for telemetry.
+// TransportStats exposes the transport-layer counters for telemetry:
+// exact hits, misses (solves that ran a flow), and the misses the
+// incremental repair served.
 func (st *EpochSolveState) TransportStats() (hits, misses, patched uint64) {
 	return st.transport.Hits, st.transport.Misses, st.transport.Patched
 }

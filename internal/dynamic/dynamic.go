@@ -553,9 +553,13 @@ type EpochStats struct {
 	// Solver names the GAP engine the inner Appro call used.
 	Solver string
 	// WarmStart reports whether the solve reused cached work from the
-	// epoch state (full-result hit, transport fingerprint hit or patch, or
-	// reused rounding components). Always false without EpochOptions.State.
+	// epoch state (full-result hit, transport exact hit or incremental
+	// repair, or rounding exact hit). Always false without
+	// EpochOptions.State.
 	WarmStart bool
+	// WarmTier names the tier that served the solve (core.WarmTier values);
+	// "cold" without EpochOptions.State.
+	WarmTier string
 	// Shards is the number of locality components the sharded best-response
 	// round ran in parallel (0 when the round ran serially). Telemetry only.
 	Shards int
@@ -587,8 +591,10 @@ func Reequilibrate(m *mec.Market, pl mec.Placement, opts EpochOptions) (mec.Plac
 	st.Converged = res.Dynamics.Converged
 	st.Solver = res.Appro.SolverUsed.String()
 	st.Shards = res.Dynamics.Shards
+	st.WarmTier = string(core.TierCold)
 	if opts.State != nil {
 		st.WarmStart = opts.State.LastWarm
+		st.WarmTier = string(opts.State.LastTier)
 	}
 	next := res.Placement
 	for i := range next {

@@ -97,22 +97,26 @@ func (g *Network) ArcFlow(id int) int {
 	return g.arcs[id^1].cap
 }
 
-// SetArcCost reprices the arc returned by AddArc (and its residual reverse)
-// without touching its capacity or routed flow.
-func (g *Network) SetArcCost(id int, cost float64) {
-	g.arcs[id].cost = cost
-	g.arcs[id^1].cost = -cost
+// Push routes units of flow along the arc returned by AddArc (draining its
+// residual capacity into the reverse arc) with no optimality bookkeeping:
+// callers use it to preload a flow they already know, then restore
+// optimality with Augment.
+func (g *Network) Push(id, units int) error {
+	if id < 0 || id >= len(g.arcs) || units < 0 || units > g.arcs[id].cap {
+		return fmt.Errorf("flow: cannot push %d units on arc %d", units, id)
+	}
+	g.arcs[id].cap -= units
+	g.arcs[id^1].cap += units
+	return nil
 }
 
-// ResetUnitFlows drains all routed flow from a network whose every arc was
-// added with capacity 1 — the transportation shape the epoch solve builds —
-// restoring it to its just-built state so it can be re-solved without a
-// rebuild. It must not be called on networks with non-unit arcs.
-func (g *Network) ResetUnitFlows() {
-	for id := 0; id < len(g.arcs); id += 2 {
-		g.arcs[id].cap = 1
-		g.arcs[id+1].cap = 0
-	}
+// Potentials returns the node potentials (length N) that MinCostFlow and
+// Augment maintain. Writes through the slice seed the next Augment, which
+// requires every arc with residual capacity to have a non-negative reduced
+// cost cost(u,v) + pot[u] - pot[v] under them.
+func (g *Network) Potentials() []float64 {
+	g.scratch()
+	return g.pot
 }
 
 // Result summarizes a MinCostFlow run.
@@ -161,25 +165,63 @@ func (g *Network) MinCostFlow(s, t, maxFlow int) (Result, error) {
 				pot[v] += dist[v]
 			}
 		}
-		// Bottleneck along the path.
-		push := maxFlow - res.Flow
-		for v := t; v != s; {
-			a := prevArc[v]
-			if g.arcs[a].cap < push {
-				push = g.arcs[a].cap
-			}
-			v = g.arcs[a^1].to
-		}
-		// Apply.
-		for v := t; v != s; {
-			a := prevArc[v]
-			g.arcs[a].cap -= push
-			g.arcs[a^1].cap += push
-			res.Cost += float64(push) * g.arcs[a].cost
-			v = g.arcs[a^1].to
-		}
-		res.Flow += push
+		g.pushPath(s, t, maxFlow-res.Flow, &res)
 	}
+	return res, nil
+}
+
+// pushPath routes up to limit units along the s→t path the last dijkstra
+// recorded in prevArc, adding the units and their cost to res.
+func (g *Network) pushPath(s, t, limit int, res *Result) {
+	push := limit
+	for v := t; v != s; {
+		a := g.prevArc[v]
+		if g.arcs[a].cap < push {
+			push = g.arcs[a].cap
+		}
+		v = g.arcs[a^1].to
+	}
+	for v := t; v != s; {
+		a := g.prevArc[v]
+		g.arcs[a].cap -= push
+		g.arcs[a^1].cap += push
+		res.Cost += float64(push) * g.arcs[a].cost
+		v = g.arcs[a^1].to
+	}
+	res.Flow += push
+}
+
+// Augment is one successive-shortest-path step on the network as it stands:
+// it pushes up to maxFlow units from s to t along a shortest residual path
+// under the retained potentials (one Dijkstra, no Bellman-Ford), then
+// raises every potential by its distance from s capped at t's, which keeps
+// every residual arc's reduced cost non-negative for the next call. s and t
+// may be any nodes: with flow preloaded by Push, s is a node with excess
+// and t one with a deficit. It returns the units pushed (0 when t is
+// unreachable from s) and their cost.
+func (g *Network) Augment(s, t, maxFlow int) (Result, error) {
+	if s < 0 || s >= g.n || t < 0 || t >= g.n {
+		return Result{}, fmt.Errorf("flow: terminal out of range: s=%d t=%d n=%d", s, t, g.n)
+	}
+	if s == t {
+		return Result{}, fmt.Errorf("flow: source equals sink (%d)", s)
+	}
+	g.scratch()
+	pot, dist := g.pot, g.dist
+	if maxFlow <= 0 || !g.dijkstra(s, t, pot, dist, g.prevArc) {
+		return Result{}, nil
+	}
+	// Capping at dist[t] keeps reduced costs non-negative on arcs out of
+	// nodes the search did not reach (or reached beyond t).
+	for v := 0; v < g.n; v++ {
+		if d := dist[v]; d < dist[t] {
+			pot[v] += d
+		} else {
+			pot[v] += dist[t]
+		}
+	}
+	var res Result
+	g.pushPath(s, t, maxFlow, &res)
 	return res, nil
 }
 

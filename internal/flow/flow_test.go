@@ -2,11 +2,18 @@ package flow
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"mecache/internal/rng"
 )
+
+// quickConfig runs a property test over a fixed pseudo-random sequence, so
+// a failure reproduces on every run.
+func quickConfig(maxCount int, seed int64) *quick.Config {
+	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(seed))}
+}
 
 func mustArc(t *testing.T, g *Network, from, to, capacity int, cost float64) int {
 	t.Helper()
@@ -210,7 +217,7 @@ func TestTransportationRandom(t *testing.T) {
 		}
 		return res.Flow == total && res.Cost >= 0
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(check, quickConfig(60, 9)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -250,7 +257,7 @@ func TestAssignmentOptimality(t *testing.T) {
 		best := bruteForceAssignment(cost)
 		return math.Abs(res.Cost-best) < 1e-6
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(check, quickConfig(40, 10)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -300,6 +307,159 @@ func BenchmarkAssignment50(b *testing.B) {
 		}
 		if _, err := g.MinCostFlow(src, sink, math.MaxInt); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+func TestPushMovesFlowAndChecksCapacity(t *testing.T) {
+	g := NewNetwork(2)
+	id := mustArc(t, g, 0, 1, 2, 3)
+	if err := g.Push(id, 2); err != nil {
+		t.Fatal(err)
+	}
+	if f := g.ArcFlow(id); f != 2 {
+		t.Fatalf("flow %d after push, want 2", f)
+	}
+	if err := g.Push(id, 1); err == nil {
+		t.Fatal("push past capacity accepted")
+	}
+	if err := g.Push(id^1, 1); err != nil { // the reverse arc cancels flow
+		t.Fatal(err)
+	}
+	if f := g.ArcFlow(id); f != 1 {
+		t.Fatalf("flow %d after cancelling one unit, want 1", f)
+	}
+}
+
+func TestAugmentUnreachable(t *testing.T) {
+	g := NewNetwork(3)
+	mustArc(t, g, 0, 1, 1, 1)
+	res, err := g.Augment(0, 2, 1)
+	if err != nil || res.Flow != 0 {
+		t.Fatalf("got %+v, %v; want no flow", res, err)
+	}
+	if _, err := g.Augment(1, 1, 1); err == nil {
+		t.Fatal("equal terminals accepted")
+	}
+}
+
+// randomBipartite builds a random unit transportation network: items
+// [0,n) with arcs to bins [n,n+m), each bin with k unit slot arcs of
+// non-decreasing cost to the sink n+m.
+func randomBipartite(r *rng.Source, n, m, k int) (*Network, [][]int) {
+	g := NewNetwork(n + m + 1)
+	sink := n + m
+	for i := 0; i < m; i++ {
+		c := 0.0
+		for s := 0; s < k; s++ {
+			c += r.FloatRange(0, 2)
+			g.AddArc(n+i, sink, 1, c)
+		}
+	}
+	ids := make([][]int, n)
+	for j := 0; j < n; j++ {
+		ids[j] = make([]int, m)
+		for i := 0; i < m; i++ {
+			ids[j][i], _ = g.AddArc(j, n+i, 1, r.FloatRange(0, 10))
+		}
+	}
+	return g, ids
+}
+
+// TestAugmentMatchesMinCostFlow routes items one at a time with Augment
+// from zero potentials (valid: every cost is non-negative) and checks the
+// total against a cold MinCostFlow of the same network through a source.
+func TestAugmentMatchesMinCostFlow(t *testing.T) {
+	r := rng.New(0xa06)
+	for trial := 0; trial < 30; trial++ {
+		n, m, k := r.IntRange(1, 8), r.IntRange(1, 5), r.IntRange(1, 3)
+		if n > m*k {
+			n = m * k
+		}
+		seed := r.Uint64()
+		g, _ := randomBipartite(rng.New(seed), n, m, k)
+		for i := range g.Potentials() {
+			g.Potentials()[i] = 0
+		}
+		inc := 0.0
+		for j := 0; j < n; j++ {
+			res, err := g.Augment(j, n+m, 1)
+			if err != nil || res.Flow != 1 {
+				t.Fatalf("trial %d item %d: %+v %v", trial, j, res, err)
+			}
+			inc += res.Cost
+		}
+		cold, _ := randomBipartite(rng.New(seed), n, m, k)
+		src := cold.AddNode()
+		for j := 0; j < n; j++ {
+			mustArc(t, cold, src, j, 1, 0)
+		}
+		want, err := cold.MinCostFlow(src, n+m, n)
+		if err != nil || want.Flow != n {
+			t.Fatal(err)
+		}
+		if math.Abs(inc-want.Cost) > 1e-9 {
+			t.Fatalf("trial %d: augmented cost %v, cold %v", trial, inc, want.Cost)
+		}
+	}
+}
+
+// TestAugmentRepairsPreloadedFlow removes one item from an optimal flow,
+// which leaves its bin one unit short, and checks that a single
+// Augment(sink, bin) lands on the optimum of the network without it.
+func TestAugmentRepairsPreloadedFlow(t *testing.T) {
+	r := rng.New(0x4e9)
+	for trial := 0; trial < 30; trial++ {
+		n, m, k := r.IntRange(2, 8), r.IntRange(2, 5), r.IntRange(1, 3)
+		if n > m*k {
+			n = m * k
+		}
+		seed := r.Uint64()
+		g, ids := randomBipartite(rng.New(seed), n, m, k)
+		src := g.AddNode()
+		for j := 0; j < n; j++ {
+			mustArc(t, g, src, j, 1, 0)
+		}
+		if res, err := g.MinCostFlow(src, n+m, n); err != nil || res.Flow != n {
+			t.Fatal(err)
+		}
+		// Item 0 departs: cancel its item arc (its bin is left one unit
+		// short), then repair from the sink into that bin.
+		bin := -1
+		for i, id := range ids[0] {
+			if g.ArcFlow(id) > 0 {
+				bin = i
+				g.Push(id^1, 1)
+			}
+		}
+		for _, id := range ids[0] {
+			g.arcs[id].cap = 0 // remove the departed item's arcs
+		}
+		// The cold solve's potentials can be stale on nodes its last search
+		// did not reach; re-derive exact ones before repairing.
+		pot := g.Potentials()
+		if err := g.bellmanFordPotentials(n+m, pot); err != nil {
+			t.Fatal(err)
+		}
+		res, err := g.Augment(n+m, n+bin, 1)
+		if err != nil || res.Flow != 1 {
+			t.Fatalf("trial %d: repair %+v %v", trial, res, err)
+		}
+		got := 0.0
+		for id := 0; id < len(g.arcs); id += 2 {
+			got += float64(g.ArcFlow(id)) * g.arcs[id].cost
+		}
+		cold, _ := randomBipartite(rng.New(seed), n, m, k)
+		csrc := cold.AddNode()
+		for j := 1; j < n; j++ {
+			mustArc(t, cold, csrc, j, 1, 0)
+		}
+		want, err := cold.MinCostFlow(csrc, n+m, n-1)
+		if err != nil || want.Flow != n-1 {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want.Cost) > 1e-9 {
+			t.Fatalf("trial %d: repaired cost %v, cold %v", trial, got, want.Cost)
 		}
 	}
 }

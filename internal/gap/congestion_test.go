@@ -93,7 +93,7 @@ func TestCongestionTransportObjectiveEqualsRecomputedSocial(t *testing.T) {
 		}
 		return math.Abs(sol.Cost-want) < 1e-6
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(check, quickConfig(80, 5)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -153,7 +153,7 @@ func TestCongestionTransportOptimality(t *testing.T) {
 		rec(0)
 		return math.Abs(sol.Cost-best) < 1e-6
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(check, quickConfig(60, 6)); err != nil {
 		t.Fatal(err)
 	}
 }

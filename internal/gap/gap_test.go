@@ -2,11 +2,18 @@ package gap
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"mecache/internal/rng"
 )
+
+// quickConfig runs a property test over a fixed pseudo-random sequence, so
+// a failure reproduces on every run.
+func quickConfig(maxCount int, seed int64) *quick.Config {
+	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(seed))}
+}
 
 // randomInstance builds a feasible random GAP instance: weights in [1,5],
 // capacities generous enough that the instance always admits a solution.
@@ -29,10 +36,34 @@ func randomInstance(seed uint64, maxItems, maxBins int) *Instance {
 	}
 	for i := 0; i < m; i++ {
 		// Enough room in aggregate: every bin can hold a couple of items,
-		// and total capacity comfortably exceeds total weight.
+		// and total capacity comfortably exceeds total weight. Every bin
+		// also holds any single item, which the aggregate formula alone
+		// does not promise when items are few (n=1, m=4 can draw every
+		// capacity below every weight).
 		ins.Cap[i] = r.FloatRange(5, 10) * float64(n) / float64(m) * 2
+		for j := 0; j < n; j++ {
+			ins.Cap[i] = math.Max(ins.Cap[i], ins.Weight[j][i])
+		}
 	}
 	return ins
+}
+
+// TestRandomInstanceFeasible pins the generator's promise, including on
+// the n=1, m=4 draw whose capacities all fell below its item's weights.
+func TestRandomInstanceFeasible(t *testing.T) {
+	for seed := uint64(0); seed < 2000; seed++ {
+		ins := randomInstance(seed, 8, 4)
+		for i, c := range ins.Cap {
+			for j := range ins.Weight {
+				if ins.Weight[j][i] > c {
+					t.Fatalf("seed %d: item %d (weight %v) fits no slot of bin %d (cap %v)", seed, j, ins.Weight[j][i], i, c)
+				}
+			}
+		}
+	}
+	if _, err := SolveExact(randomInstance(0xa7e40e64b8514456, 8, 4)); err != nil {
+		t.Fatalf("seed 0xa7e40e64b8514456: %v", err)
+	}
 }
 
 func TestValidate(t *testing.T) {
@@ -116,7 +147,7 @@ func TestGreedyFeasibleAndAboveExact(t *testing.T) {
 		}
 		return greedy.Cost >= exact.Cost-1e-9
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(check, quickConfig(60, 1)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -134,7 +165,7 @@ func TestLPLowerBoundsExact(t *testing.T) {
 		}
 		return lb <= exact.Cost+1e-6
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(check, quickConfig(40, 2)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -165,7 +196,7 @@ func TestShmoysTardosGuarantees(t *testing.T) {
 		}
 		return ins.CheckFeasible(sol.Bin, ins.MaxWeight()) == nil
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(check, quickConfig(60, 3)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -289,7 +320,7 @@ func TestTransportExactOptimal(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(check, quickConfig(60, 4)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -86,7 +86,7 @@ func TestLocalSearchInvariants(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(check, quickConfig(60, 7)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -104,7 +104,7 @@ func TestGreedyPolishedAtLeastAsGoodAsGreedy(t *testing.T) {
 		}
 		return p.Cost <= g.Cost+1e-9
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(check, quickConfig(60, 8)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -121,8 +121,8 @@ func TestTransportWarmStructuralChangeRebuilds(t *testing.T) {
 	if _, _, err := SolveCongestionTransportWarm(base, slots, marginal, st); err != nil {
 		t.Fatal(err)
 	}
-	// Flip a forbidden pair to finite: the arc structure changes, so the
-	// patch path must refuse and rebuild — still matching cold.
+	// Flip a forbidden pair to finite: one changed row, which the
+	// incremental repair serves — still matching cold.
 	for j := range base {
 		flipped := false
 		for i := range base[j] {
@@ -147,8 +147,8 @@ func TestTransportWarmStructuralChangeRebuilds(t *testing.T) {
 	if !reflect.DeepEqual(cold.Bin, warmSol.Bin) {
 		t.Fatalf("rebuild diverges from cold\ncold %v\nwarm %v", cold.Bin, warmSol.Bin)
 	}
-	if st.Patched != 0 {
-		t.Fatalf("structural change took the patch path (patched=%d)", st.Patched)
+	if st.Patched != 1 {
+		t.Fatalf("+Inf flip not repaired incrementally (patched=%d)", st.Patched)
 	}
 	// Growing the instance must also rebuild cleanly.
 	base = append(base, append([]float64(nil), base[0]...))
@@ -163,6 +163,23 @@ func TestTransportWarmStructuralChangeRebuilds(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold2.Bin, warm2.Bin) {
 		t.Fatalf("grown instance diverges\ncold %v\nwarm %v", cold2.Bin, warm2.Bin)
+	}
+	// Repricing a bin's slot chain is structural: it must rebuild.
+	patched := st.Patched
+	repriced := func(bin, k int) float64 { return marginal(bin, k) + 0.5 }
+	cold3, err := SolveCongestionTransport(base, slots, repriced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm3, _, err := SolveCongestionTransportWarm(base, slots, repriced, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cold3.Bin, warm3.Bin) {
+		t.Fatalf("repriced chains diverge\ncold %v\nwarm %v", cold3.Bin, warm3.Bin)
+	}
+	if st.Patched != patched {
+		t.Fatalf("repriced slot chain took the incremental path (patched=%d)", st.Patched)
 	}
 }
 

@@ -670,6 +670,7 @@ func (s *Server) epochCmd(st *state) cmdResult {
 				obs.Int64("reconfigurations", int64(est.Reconfigurations)),
 				obs.String("solver", est.Solver),
 				obs.String("warm_start", warm),
+				obs.String("warm_tier", est.WarmTier),
 				obs.Int64("shards", int64(est.Shards)),
 			},
 		})
@@ -681,6 +682,7 @@ func (s *Server) epochCmd(st *state) cmdResult {
 	st.suppressed += uint64(est.MigrationsSuppressed)
 	st.migCost += est.MigrationCost
 	s.mReconfigs.Add(float64(est.Reconfigurations))
+	s.mEpochTier[est.WarmTier].Inc()
 	s.hLCFRounds.Observe(float64(est.Rounds))
 	s.hEpochMigr.Observe(float64(est.Reconfigurations))
 	if rec != nil {

@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mecache/internal/core"
 	"mecache/internal/fault"
 	"mecache/internal/mec"
 	"mecache/internal/metrics"
@@ -298,6 +299,7 @@ type Server struct {
 	mFailbacks *metrics.Counter
 	mEpochs    *metrics.Counter
 	mReconfigs *metrics.Counter
+	mEpochTier map[string]*metrics.Counter // by core.WarmTier
 	mEpochErrs *metrics.Counter
 	mSnapErrs  *metrics.Counter
 	mLatency   *metrics.Histogram
@@ -410,6 +412,11 @@ func (s *Server) registerMetrics() {
 	s.mFailbacks = s.reg.Counter("mecd_failbacks_total", "Providers returned to a repaired cloudlet.", s.labels()...)
 	s.mEpochs = s.reg.Counter("mecd_epochs_total", "Re-equilibration epochs run.", s.labels()...)
 	s.mReconfigs = s.reg.Counter("mecd_reconfigurations_total", "Placement changes applied by epochs.", s.labels()...)
+	s.mEpochTier = make(map[string]*metrics.Counter, len(core.WarmTiers()))
+	for _, tier := range core.WarmTiers() {
+		s.mEpochTier[string(tier)] = s.reg.Counter("mecd_epoch_solves_total",
+			"Epoch solves by the warm-start tier that served them.", s.labels("tier", string(tier))...)
+	}
 	s.mEpochErrs = s.reg.Counter("mecd_epoch_errors_total", "Background and snapshot-time epoch failures.", s.labels()...)
 	s.mSnapErrs = s.reg.Counter("mecd_snapshot_errors_total", "Snapshot write failures.", s.labels()...)
 	s.mLatency = s.reg.Histogram("mecd_admission_seconds", "End-to-end admission latency.", stats.LatencyBuckets(), s.labels()...)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -491,6 +492,70 @@ func TestTracedEpochSpans(t *testing.T) {
 	}
 	if rounds < 1 {
 		t.Fatalf("epoch_solve rounds attr %d, want >= 1", rounds)
+	}
+}
+
+// TestEpochWarmTierObservable checks that an operator can see which warm
+// tier served each epoch: the epoch_solve span's warm_tier attribute and
+// the mecd_epoch_solves_total{tier} counter agree, epoch by epoch.
+func TestEpochWarmTierObservable(t *testing.T) {
+	cfg := testConfig(51)
+	_, ts := startServer(t, cfg)
+	var v View
+	getJSON(t, ts.URL+"/v1/market", &v)
+	for i := 0; i < 8; i++ {
+		admit(t, ts, drawProvider(cfg, &v, 51, i))
+	}
+	epoch := func(k uint64) (tierWarm [2]string) {
+		t.Helper()
+		trace := obs.MintTraceID(51, 100+k)
+		resp, data := postTraced(t, ts.URL+"/v1/admin/epoch", obs.FormatTraceparent(trace, 1), nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("epoch: %d %s", resp.StatusCode, data)
+		}
+		var sr spansResponse
+		getJSON(t, ts.URL+"/v1/debug/spans?n=0&trace="+trace, &sr)
+		solve, ok := spansByStage(t, sr.Spans)[obs.StageEpochSolve]
+		if !ok {
+			t.Fatal("no epoch_solve span")
+		}
+		for _, a := range solve.Attrs {
+			switch a.Key {
+			case "warm_tier":
+				tierWarm[0] = a.Str
+			case "warm_start":
+				tierWarm[1] = a.Str
+			}
+		}
+		return tierWarm
+	}
+	var got [][2]string
+	got = append(got, epoch(0)) // the market's first solve
+	got = append(got, epoch(1)) // nothing changed
+	admit(t, ts, drawProvider(cfg, &v, 51, 8))
+	got = append(got, epoch(2)) // one provider arrived
+	want := [][2]string{{"cold", "miss"}, {"exact", "hit"}, {"incremental", "hit"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("epoch (warm_tier, warm_start) %v, want %v", got, want)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := new(bytes.Buffer)
+	body.ReadFrom(resp.Body)
+	resp.Body.Close()
+	for _, line := range []string{
+		`mecd_epoch_solves_total{tier="cold"} 1`,
+		`mecd_epoch_solves_total{tier="exact"} 1`,
+		`mecd_epoch_solves_total{tier="incremental"} 1`,
+		`mecd_epoch_solves_total{tier="result"} 0`,
+		`mecd_epoch_solves_total{tier="rounding"} 0`,
+	} {
+		if !strings.Contains(body.String(), line+"\n") {
+			t.Fatalf("/metrics lacks %q", line)
+		}
 	}
 }
 
