@@ -214,10 +214,10 @@ const allocTolerance = 1.25
 // small absolute counts.
 const allocSlack = 16
 
-// warmEpochRatioCeiling bounds the ReequilibrateWarm/Reequilibrate time
-// ratio at the largest scale: an unchanged-reduction epoch served from the
-// warm state must stay at least 5x faster than the cold solve in the same
-// run. Like the dynamics ceiling, the same-process ratio is machine- and
+// warmEpochRatioCeiling bounds the ReequilibrateIdle/ReequilibrateIdleCold
+// time ratio at the largest scale: an unchanged-reduction epoch served from
+// the warm state must stay at least 5x faster than the cold solve in the
+// same run. Like the dynamics ceiling, the same-process ratio is machine- and
 // race-detector-independent.
 const warmEpochRatioCeiling = 0.2
 
@@ -234,7 +234,6 @@ var warmTwins = map[string]struct {
 	cold    string
 	ceiling float64
 }{
-	"ReequilibrateWarm":  {"Reequilibrate", warmEpochRatioCeiling},
 	"ReequilibrateIdle":  {"ReequilibrateIdleCold", warmEpochRatioCeiling},
 	"ReequilibrateChurn": {"ReequilibrateChurnCold", churnEpochRatioCeiling},
 }

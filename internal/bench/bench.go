@@ -129,35 +129,6 @@ func reequilibrateCase(sc scale, naive bool) Case {
 	}
 }
 
-// reequilibrateWarmCase times the steady-state epoch the warm-start work
-// targets: the exact Reequilibrate call of Reequilibrate/<scale>, but
-// carrying an EpochSolveState across operations. The harness's warm-up op
-// populates the caches, so every timed op revalidates the market
-// fingerprint against an unchanged reduction and serves the solve from the
-// cached state. mecbench -bench-check enforces the warm/cold time ratio at
-// the largest scale; the ratio is machine-independent because both cases
-// run in the same process.
-func reequilibrateWarmCase(sc scale) Case {
-	return Case{
-		Name: fmt.Sprintf("ReequilibrateWarm/%s", sc.name),
-		Setup: func() (func() error, error) {
-			m, err := benchMarket(sc)
-			if err != nil {
-				return nil, err
-			}
-			pl := joinedPlacement(m)
-			var st dynamic.EpochSolveState
-			opts := dynamic.EpochOptions{
-				Xi: 0.7, Seed: benchSeed, MigrationAware: true, State: &st,
-			}
-			return func() error {
-				_, _, err := dynamic.Reequilibrate(m, pl, opts)
-				return err
-			}, nil
-		},
-	}
-}
-
 // epochName suffixes the cold twin of an epoch case with "Cold".
 func epochName(family string, sc scale, warm bool) string {
 	if !warm {
@@ -216,8 +187,7 @@ func reequilibrateChurnCase(sc scale, warm bool) Case {
 
 // reequilibrateIdleCase times an epoch on an unchanged market with the
 // seed bumped every op, the production shape of an epoch nobody churned
-// before: the full-result cache misses on the seed, so the warm case is
-// served by the transport state's exact hit.
+// before: the warm case is served by the transport state's exact hit.
 func reequilibrateIdleCase(sc scale, warm bool) Case {
 	return Case{
 		Name: epochName("ReequilibrateIdle", sc, warm),
@@ -423,7 +393,6 @@ func Cases() []Case {
 			dynamicsCase(sc, true),
 			reequilibrateCase(sc, false),
 			reequilibrateCase(sc, true),
-			reequilibrateWarmCase(sc),
 			admissionCase(sc),
 		)
 	}

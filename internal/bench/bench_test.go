@@ -47,9 +47,6 @@ func TestCasesWellFormed(t *testing.T) {
 				t.Fatalf("case %q has no naive twin", name)
 			}
 		}
-		if fam == "ReequilibrateWarm" && !seen["Reequilibrate/"+sc] {
-			t.Fatalf("case %q has no cold twin", name)
-		}
 		if (fam == "ReequilibrateChurn" || fam == "ReequilibrateIdle") && !seen[fam+"Cold/"+sc] {
 			t.Fatalf("case %q has no cold twin", name)
 		}

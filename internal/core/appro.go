@@ -74,9 +74,9 @@ type ApproOptions struct {
 	// choice event per provider with its assigned strategy's Eq. 3 cost
 	// broken out at the final loads. Nil disables tracing at zero cost.
 	Trace obs.Tracer
-	// State, when non-nil, carries the warm-start caches reused across
-	// epoch solves (see EpochSolveState). The result is byte-identical with
-	// or without it; warm paths only skip provably redundant work.
+	// State, when non-nil, carries the transport solve reused across epoch
+	// solves (see EpochSolveState). The result is byte-identical with or
+	// without it; warm paths only skip provably redundant work.
 	State *EpochSolveState
 }
 
@@ -145,27 +145,16 @@ func Appro(m *mec.Market, opts ApproOptions) (*ApproResult, error) {
 		return nil, err
 	}
 	if st := opts.State; st != nil {
-		st.LastResultHit = false
-		st.LastSolver = solver
 		st.LastTier = TierCold
-		switch solver {
-		case SolverTransport:
+		if solver == SolverTransport {
 			switch {
 			case st.transport.LastWarm:
 				st.LastTier = TierExact
 			case st.transport.Patched > prevPatched:
 				st.LastTier = TierIncremental
 			}
-			st.LastWarm = st.LastTier != TierCold
-		case SolverShmoysTardos:
-			st.LastWarm = st.rounding.LastWarm
-			switch {
-			case st.rounding.LastWarm:
-				st.LastTier = TierExact
-			case st.rounding.LastCompReused > 0:
-				st.LastTier = TierRounding
-			}
 		}
+		st.LastWarm = st.LastTier != TierCold
 	}
 
 	reduced := 0.0
@@ -346,11 +335,7 @@ func approShmoysTardos(m *mec.Market, slots []int, opts ApproOptions) (mec.Place
 			}
 		}
 	}
-	var rs *gap.RoundingState
-	if opts.State != nil {
-		rs = &opts.State.rounding
-	}
-	sol, _, err := gap.SolveShmoysTardosWarm(ins, rs)
+	sol, err := gap.SolveShmoysTardos(ins)
 	if err != nil {
 		return nil, fmt.Errorf("core: Shmoys-Tardos reduction: %w", err)
 	}

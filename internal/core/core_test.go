@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -71,7 +72,7 @@ func TestApproFeasibilityProperty(t *testing.T) {
 		}
 		return m.CheckCapacity(res.Placement, 0) == nil
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 15}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 15, Rand: rand.New(rand.NewSource(13))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -150,7 +151,7 @@ func TestApproRatioAgainstExact(t *testing.T) {
 		}
 		return res.SocialCost <= ApproximationRatio(m)*opt+1e-6
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 10}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 10, Rand: rand.New(rand.NewSource(14))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -43,7 +44,7 @@ func TestApproExactUnderNonlinearCongestion(t *testing.T) {
 			best := bruteForceSlotted(m, slots)
 			return res.SocialCost <= best+1e-6
 		}
-		if err := quick.Check(check, &quick.Config{MaxCount: 8}); err != nil {
+		if err := quick.Check(check, &quick.Config{MaxCount: 8, Rand: rand.New(rand.NewSource(15))}); err != nil {
 			t.Fatalf("model %s: %v", cm.Name(), err)
 		}
 	}
@@ -118,7 +119,7 @@ func TestPotentialUnderNonlinearCongestion(t *testing.T) {
 		after := g.Potential(moved)
 		return after < before-1e-12 && math.Abs((before-after)-(cur-c)) < 1e-6
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(16))}); err != nil {
 		t.Fatal(err)
 	}
 }

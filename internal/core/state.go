@@ -1,52 +1,33 @@
 package core
 
 import (
-	"math"
-	"math/bits"
-
 	"mecache/internal/gap"
-	"mecache/internal/mec"
 )
 
 // EpochSolveState is the warm-start cache one market carries across
-// re-optimization epochs. It layers three reuse levels, every one of them
-// byte-identical to the cold solve it replaces:
-//
-//  1. the GAP transport solve (gap.TransportState): an unchanged reduction
-//     returns the cached assignment, a few changed provider rows are
-//     repaired incrementally from the cached flow (one augmenting path per
-//     change, kept only when certified the unique optimum), anything else
-//     is solved cold into the retained arena;
-//  2. the Shmoys-Tardos rounding components (gap.RoundingState): only
-//     connected components of the item-slot graph whose columns changed are
-//     re-matched, untouched components keep their integral assignments;
-//  3. the full LCF result, keyed on a fingerprint of every market quantity
-//     the pipeline reads plus the complete option set: an identical epoch
-//     skips Appro, coordination, and the best-response dynamics outright.
+// re-optimization epochs: the GAP transport solve (gap.TransportState),
+// which keeps an exact copy of the reduction it last solved. An unchanged
+// reduction returns the cached assignment, a few changed provider rows are
+// repaired incrementally from the cached flow (one augmenting path per
+// change, kept only when certified the unique optimum), and anything else
+// is solved cold into the retained arena. Every path is byte-identical to
+// the cold solve it replaces. Only the transport solver reads the state;
+// the Shmoys-Tardos path always solves cold.
 //
 // The zero value is ready to use. A state belongs to one logical market
 // stream (e.g. one dynamic.Simulator, one daemon tenant); sharing it across
-// markets is safe (fingerprints miss) but pointless. It is not safe for
-// concurrent use.
+// markets is safe (the exact comparison misses) but pointless. It is not
+// safe for concurrent use.
 type EpochSolveState struct {
 	transport gap.TransportState
-	rounding  gap.RoundingState
 
-	lcfValid bool
-	lcfKey   lcfKey
-	lcfRes   *LCFResult
-
-	// LCFHits / LCFMisses count full-result cache outcomes.
-	LCFHits, LCFMisses uint64
-	// LastSolver is the GAP engine the most recent solve used (or would
-	// have used, on a full-result hit).
-	LastSolver Solver
+	// LCFHits is always zero. It counted hits of a full-LCF result cache
+	// that no longer exists, and stays because external benchmark drivers
+	// still report it.
+	LCFHits uint64
 	// LastWarm reports whether the most recent solve reused cached work: a
-	// full-result hit, a transport exact hit or incremental repair, or a
-	// rounding exact hit.
+	// transport exact hit or incremental repair.
 	LastWarm bool
-	// LastResultHit reports a full LCF result cache hit specifically.
-	LastResultHit bool
 	// LastTier names the tier that served the most recent solve.
 	LastTier WarmTier
 }
@@ -56,27 +37,22 @@ type WarmTier string
 
 // Warm tiers, from the cheapest hit to a full solve.
 const (
-	TierResult      WarmTier = "result"      // full LCF result cache hit
 	TierExact       WarmTier = "exact"       // unchanged GAP reduction: cached assignment
 	TierIncremental WarmTier = "incremental" // transport solve repaired from the cached flow
-	TierRounding    WarmTier = "rounding"    // only changed rounding components re-matched
 	TierCold        WarmTier = "cold"        // the GAP reduction was solved from scratch
 )
 
 // WarmTiers lists every tier, for callers that pre-register per-tier series.
 func WarmTiers() []WarmTier {
-	return []WarmTier{TierResult, TierExact, TierIncremental, TierRounding, TierCold}
+	return []WarmTier{TierExact, TierIncremental, TierCold}
 }
 
-// Invalidate drops every cached layer; the next solve runs fully cold.
+// Invalidate drops the cached solution; the next solve runs fully cold.
 func (st *EpochSolveState) Invalidate() {
 	if st == nil {
 		return
 	}
 	st.transport.Invalidate()
-	st.rounding.Invalidate()
-	st.lcfValid = false
-	st.lcfRes = nil
 }
 
 // TransportStats exposes the transport-layer counters for telemetry:
@@ -84,106 +60,4 @@ func (st *EpochSolveState) Invalidate() {
 // incremental repair served.
 func (st *EpochSolveState) TransportStats() (hits, misses, patched uint64) {
 	return st.transport.Hits, st.transport.Misses, st.transport.Patched
-}
-
-// lcfKey identifies one exact LCF invocation: the market fingerprint plus
-// every option that can influence the result. Workers is deliberately
-// absent — the sharded round is bit-identical to the serial one, so results
-// are interchangeable across widths.
-type lcfKey struct {
-	marketFP        uint64
-	xi              float64
-	seed            uint64
-	maxRounds       int
-	strategy        Coordination
-	reference       bool
-	solver          Solver
-	disallowRemote  bool
-	congestionBlind bool
-}
-
-func lcfKeyOf(m *mec.Market, opts LCFOptions) lcfKey {
-	return lcfKey{
-		marketFP:        marketFingerprint(m),
-		xi:              opts.Xi,
-		seed:            opts.Seed,
-		maxRounds:       opts.MaxRounds,
-		strategy:        opts.Strategy,
-		reference:       opts.Reference,
-		solver:          opts.Appro.Solver,
-		disallowRemote:  opts.Appro.DisallowRemote,
-		congestionBlind: opts.Appro.CongestionBlind,
-	}
-}
-
-// cfp is a 128-bit-state mixing hasher (FNV-1a paired with a
-// rotate-multiply lane), mirroring the fingerprint scheme the gap warm
-// states use.
-type cfp struct{ a, b uint64 }
-
-func newCFP() cfp {
-	return cfp{a: 14695981039346656037, b: 0x9e3779b97f4a7c15}
-}
-
-func (h *cfp) word(w uint64) {
-	h.a = (h.a ^ w) * 1099511628211
-	h.b = bits.RotateLeft64(h.b^w, 29)*0xbf58476d1ce4e5b9 + 1
-}
-
-func (h *cfp) float(f float64) { h.word(math.Float64bits(f)) }
-func (h *cfp) int(v int)       { h.word(uint64(v)) }
-func (h *cfp) sum() uint64     { return h.a ^ (h.b * 1099511628211) }
-
-// marketFingerprint hashes every market quantity the LCF pipeline reads:
-// dimensions, per-cloudlet congestion coefficients, capacities and virtual
-// slots, per-provider base-cost rows, remote costs and resource demands,
-// and the congestion Level table up to the provider count. Any change that
-// could alter the LCF outcome changes the fingerprint; hashing is O(n·nc)
-// table reads — microseconds against the tens of milliseconds a solve
-// costs.
-func marketFingerprint(m *mec.Market) uint64 {
-	h := newCFP()
-	n := len(m.Providers)
-	nc := m.Net.NumCloudlets()
-	h.int(n)
-	h.int(nc)
-	for i := 0; i < nc; i++ {
-		cl := &m.Net.Cloudlets[i]
-		h.float(m.CongestionCoeff(i))
-		h.float(cl.ComputeCap)
-		h.float(cl.BandwidthCap)
-	}
-	for _, s := range m.VirtualSlots() {
-		h.int(s)
-	}
-	for l := 0; l < n; l++ {
-		p := &m.Providers[l]
-		h.float(m.RemoteCost(l))
-		h.float(p.ComputeDemand())
-		h.float(p.BandwidthDemand())
-		for i := 0; i < nc; i++ {
-			h.float(m.BaseCost(l, i))
-		}
-	}
-	for k := 1; k <= n; k++ {
-		h.float(m.CongestionLevel(k))
-	}
-	return h.sum()
-}
-
-// cloneLCFResult deep-copies a result so cache entries and returned values
-// never alias caller-visible slices (Reequilibrate mutates the placement it
-// receives in place).
-func cloneLCFResult(r *LCFResult) *LCFResult {
-	c := *r
-	c.Placement = append(mec.Placement(nil), r.Placement...)
-	c.Coordinated = append([]int(nil), r.Coordinated...)
-	c.Dynamics.Placement = append(mec.Placement(nil), r.Dynamics.Placement...)
-	if r.Appro != nil {
-		a := *r.Appro
-		a.Placement = append(mec.Placement(nil), r.Appro.Placement...)
-		a.VirtualSlots = append([]int(nil), r.Appro.VirtualSlots...)
-		c.Appro = &a
-	}
-	return &c
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -40,7 +41,9 @@ func lcfResultsEqual(t *testing.T, tag string, a, b *LCFResult) {
 
 // TestEpochStateByteIdentity sweeps an epoch-like sequence (same market,
 // varying seeds, both GAP engines) and requires the stateful solve to match
-// the stateless one bit-for-bit at every step.
+// the stateless one bit-for-bit at every step. The seed does not enter the
+// GAP reduction, so every transport epoch after the first is an exact hit;
+// the Shmoys-Tardos path keeps no state and always runs cold.
 func TestEpochStateByteIdentity(t *testing.T) {
 	for _, solver := range []Solver{SolverTransport, SolverShmoysTardos} {
 		providers := 60
@@ -61,16 +64,21 @@ func TestEpochStateByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			lcfResultsEqual(t, solver.String(), cold, warm)
-		}
-		if st.LCFMisses == 0 {
-			t.Fatalf("%s: result cache never consulted", solver)
+			want := TierCold
+			if solver == SolverTransport && epoch > 0 {
+				want = TierExact
+			}
+			if st.LastTier != want || st.LastWarm != (want != TierCold) {
+				t.Fatalf("%s epoch %d: tier %q warm=%v, want %q", solver, epoch, st.LastTier, st.LastWarm, want)
+			}
 		}
 	}
 }
 
-// TestEpochStateResultCacheHit pins the full-result fast path: an identical
-// repeat invocation is served from the cache, and mutating the returned
-// placement (as Reequilibrate does) must not poison later hits.
+// TestEpochStateResultCacheHit pins the repeat of an identical invocation:
+// it is served by the transport state's exact hit, and mutating every slice
+// of the first result (as Reequilibrate's callers do) must not leak into
+// the repeat, which still equals a cold solve.
 func TestEpochStateResultCacheHit(t *testing.T) {
 	m := genMarket(t, 7, 80, 50)
 	var st EpochSolveState
@@ -80,12 +88,13 @@ func TestEpochStateResultCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.LCFHits != 0 || st.LCFMisses != 1 || st.LastResultHit {
-		t.Fatalf("after cold call: hits=%d misses=%d lastHit=%v", st.LCFHits, st.LCFMisses, st.LastResultHit)
+	if st.LastTier != TierCold || st.LastWarm {
+		t.Fatalf("first call: tier %q warm=%v, want cold", st.LastTier, st.LastWarm)
 	}
 	// Caller-side mutation of every returned slice.
 	first.Placement[0] = mec.Remote
 	first.Dynamics.Placement[1] = mec.Remote
+	first.Appro.Placement[0] = mec.Remote
 	if len(first.Coordinated) > 0 {
 		first.Coordinated[0] = -1
 	}
@@ -94,22 +103,21 @@ func TestEpochStateResultCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.LCFHits != 1 || !st.LastResultHit || !st.LastWarm {
-		t.Fatalf("after repeat: hits=%d lastHit=%v lastWarm=%v", st.LCFHits, st.LastResultHit, st.LastWarm)
+	if st.LastTier != TierExact || !st.LastWarm {
+		t.Fatalf("repeat: tier %q warm=%v, want exact", st.LastTier, st.LastWarm)
 	}
-	if st.LastSolver != SolverTransport {
-		t.Fatalf("LastSolver = %v", st.LastSolver)
+	if st.LCFHits != 0 {
+		t.Fatalf("LCFHits = %d, want always 0", st.LCFHits)
 	}
 	cold, err := LCF(m, LCFOptions{Xi: 0.7, Seed: 42, Appro: ApproOptions{Solver: SolverTransport}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lcfResultsEqual(t, "cache-hit", cold, second)
+	lcfResultsEqual(t, "exact-hit", cold, second)
 }
 
-// TestEpochStateMarketDeltaMisses: any market change flips the fingerprint,
-// so the result cache misses and the fresh solve matches a stateless one.
-// The GAP-level transport state still serves the changed reduction warm.
+// TestEpochStateMarketDeltaMisses: a market change misses the exact hit,
+// and the solve, whichever tier serves it, matches a stateless one.
 func TestEpochStateMarketDeltaMisses(t *testing.T) {
 	m := genMarket(t, 19, 80, 45)
 	var st EpochSolveState
@@ -127,8 +135,8 @@ func TestEpochStateMarketDeltaMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.LCFHits != 0 || st.LCFMisses != 2 {
-		t.Fatalf("hits=%d misses=%d, want 0/2 (fingerprint should have changed)", st.LCFHits, st.LCFMisses)
+	if st.LastTier == TierExact {
+		t.Fatal("grown market served by an exact hit")
 	}
 	cold, err := LCF(m, LCFOptions{Xi: 0.5, Seed: 9, Appro: ApproOptions{Solver: SolverTransport}})
 	if err != nil {
@@ -144,6 +152,9 @@ func TestEpochStateMarketDeltaMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st.LastTier == TierExact {
+		t.Fatal("shrunk market served by an exact hit")
+	}
 	cold2, err := LCF(m, LCFOptions{Xi: 0.5, Seed: 9, Appro: ApproOptions{Solver: SolverTransport}})
 	if err != nil {
 		t.Fatal(err)
@@ -151,8 +162,8 @@ func TestEpochStateMarketDeltaMisses(t *testing.T) {
 	lcfResultsEqual(t, "shrink", cold2, warm2)
 }
 
-// TestEpochStateOptionChangesMiss: every option in the key must
-// differentiate cache entries.
+// TestEpochStateOptionChangesMiss: a state warmed by one option set must
+// give the cold result under every other option set.
 func TestEpochStateOptionChangesMiss(t *testing.T) {
 	m := genMarket(t, 23, 80, 40)
 	base := LCFOptions{Xi: 0.5, Seed: 3, Appro: ApproOptions{Solver: SolverTransport}}
@@ -176,15 +187,12 @@ func TestEpochStateOptionChangesMiss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.LCFHits != 0 {
-			t.Fatalf("variant %d: spurious result-cache hit", vi)
-		}
 		v.State = nil
 		cold, err := LCF(m, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lcfResultsEqual(t, "variant", cold, got)
+		lcfResultsEqual(t, fmt.Sprintf("variant %d", vi), cold, got)
 	}
 }
 
@@ -222,8 +230,8 @@ func TestEpochStateInvalidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.LCFHits != 0 || st.LCFMisses != 2 {
-		t.Fatalf("hits=%d misses=%d after invalidate, want 0/2", st.LCFHits, st.LCFMisses)
+	if st.LastTier != TierCold || st.LastWarm {
+		t.Fatalf("after invalidate: tier %q warm=%v, want cold", st.LastTier, st.LastWarm)
 	}
 	cold, err := LCF(m, LCFOptions{Xi: 0.5, Seed: 6, Appro: ApproOptions{Solver: SolverTransport}})
 	if err != nil {

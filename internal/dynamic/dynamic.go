@@ -232,10 +232,9 @@ type Simulator struct {
 	pl mec.Placement
 	ls *game.LoadState
 
-	// solve carries the warm-start caches across epochs: GAP reduction
-	// fingerprints, the cached transport network, rounding components, and
-	// the full LCF result of the previous epoch. Epoch outcomes are
-	// byte-identical with or without it.
+	// solve carries the transport solve across epochs: an exact copy of
+	// the previous GAP reduction, its assignment, and the flow network.
+	// Epoch outcomes are byte-identical with or without it.
 	solve EpochSolveState
 
 	metrics      Metrics
@@ -553,9 +552,8 @@ type EpochStats struct {
 	// Solver names the GAP engine the inner Appro call used.
 	Solver string
 	// WarmStart reports whether the solve reused cached work from the
-	// epoch state (full-result hit, transport exact hit or incremental
-	// repair, or rounding exact hit). Always false without
-	// EpochOptions.State.
+	// epoch state (a transport exact hit or incremental repair). Always
+	// false without EpochOptions.State.
 	WarmStart bool
 	// WarmTier names the tier that served the solve (core.WarmTier values);
 	// "cold" without EpochOptions.State.

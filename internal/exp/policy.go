@@ -52,7 +52,7 @@ var builtinPolicies = map[string]Policy{
 	"lcf-hysteresis": {Name: "lcf-hysteresis", Xi: 0.7, MigrationAware: true, Failover: "remote-fallback"},
 	// LCF with the two non-default failover policies, for fault-rate sweeps.
 	"lcf-replace": {Name: "lcf-replace", Xi: 0.7, Failover: "re-place"},
-	"lcf-wait": {Name: "lcf-wait", Xi: 0.7, Failover: "wait-for-repair"},
+	"lcf-wait":    {Name: "lcf-wait", Xi: 0.7, Failover: "wait-for-repair"},
 }
 
 // PolicyNames returns the known policy names, sorted.

@@ -7,33 +7,14 @@ import (
 	"mecache/internal/flow"
 )
 
-// This file is the warm-start layer of the epoch GAP solve. The transport
-// state keeps an exact copy of the reduction it last solved; an identical
-// reduction returns the cached assignment, and a reduction a few rows away
-// is repaired incrementally (repair.go) and returned only when a
+// This file is the warm-start layer of the epoch GAP solve, the one cache
+// the epoch solve keeps. The transport state keeps an exact copy of the
+// reduction it last solved, compared bit for bit rather than by hash; an
+// identical reduction returns the cached assignment, and a reduction a few
+// rows away is repaired incrementally (repair.go) and returned only when a
 // certificate proves it is the unique optimum, which the cold solver
-// therefore reproduces. The rounding state reuses the matching of untouched
-// components. Every reuse path returns exactly what the cold solve returns;
-// the differential suites enforce it.
-
-// fp128 is a 128-bit incremental fingerprint (FNV-1a paired with a rotated
-// multiply-accumulate) over 64-bit words. Two independent 64-bit mixes make
-// an accidental collision — which would silently revive a stale solution —
-// astronomically unlikely rather than merely improbable.
-type fp128 struct{ a, b uint64 }
-
-func newFP() fp128 {
-	return fp128{a: 14695981039346656037, b: 0x9e3779b97f4a7c15}
-}
-
-func (h *fp128) word(w uint64) {
-	h.a = (h.a ^ w) * 1099511628211
-	h.b = ((h.b ^ w) << 29) | ((h.b ^ w) >> 35)
-	h.b = h.b*0xbf58476d1ce4e5b9 + 1
-}
-
-func (h *fp128) float(f float64) { h.word(math.Float64bits(f)) }
-func (h *fp128) int(v int)       { h.word(uint64(v)) }
+// therefore reproduces. Every reuse path returns exactly what the cold
+// solve returns; the differential suites enforce it.
 
 // TransportState carries one congestion-transport solve across epochs: an
 // exact copy of the reduction it solved, the optimal assignment, node
@@ -354,90 +335,4 @@ func countLoads(buf, bin []int, m int) []int {
 		buf[b]++
 	}
 	return buf
-}
-
-// RoundingState caches one Shmoys-Tardos rounding across epochs: the whole
-// instance's fingerprint (exact-hit skip) and, per matching component of
-// the slot graph, the component's fingerprint and rounded bins, so a
-// re-round only re-matches components whose items, slots, or costs changed.
-// The zero value is ready; nil selects the cold path.
-type RoundingState struct {
-	fpA, fpB uint64
-	n        int
-	valid    bool
-	bin      []int
-	cost     float64
-
-	compFP  map[int]uint64 // keyed by the component's smallest item index
-	itemBin []int          // itemBin[j] = rounded bin of item j, last solve
-
-	// Counters for span attrs and tests.
-	Hits           uint64 // solves skipped entirely (identical instance)
-	Misses         uint64
-	LastWarm       bool
-	LastCompReused int // components reused on the last miss
-	LastCompTotal  int
-}
-
-// Invalidate drops the cached instance and component roundings.
-func (st *RoundingState) Invalidate() {
-	if st == nil {
-		return
-	}
-	st.valid = false
-	st.compFP = nil
-}
-
-// instanceFingerprint hashes everything a Shmoys-Tardos solve reads.
-func instanceFingerprint(ins *Instance) (uint64, uint64) {
-	h := newFP()
-	h.int(ins.NumItems())
-	h.int(ins.NumBins())
-	for j := range ins.Cost {
-		for i := range ins.Cost[j] {
-			h.float(ins.Cost[j][i])
-			h.float(ins.Weight[j][i])
-		}
-	}
-	for _, c := range ins.Cap {
-		h.float(c)
-	}
-	return h.a, h.b
-}
-
-// SolveShmoysTardosWarm is SolveShmoysTardos with incremental re-rounding:
-// an unchanged instance returns the cached assignment (warm=true); a
-// changed instance re-solves the LP but re-matches only the matching
-// components whose fingerprint changed, keeping every untouched
-// component's integral assignment pinned. Both paths are byte-identical to
-// the cold solver (per-component matching provably equals the global
-// matching; see DESIGN.md §5l). st may be nil (always cold).
-func SolveShmoysTardosWarm(ins *Instance, st *RoundingState) (*Assignment, bool, error) {
-	if err := ins.Validate(); err != nil {
-		return nil, false, err
-	}
-	var fpA, fpB uint64
-	if st != nil {
-		fpA, fpB = instanceFingerprint(ins)
-		if st.valid && st.n == ins.NumItems() && fpA == st.fpA && fpB == st.fpB {
-			st.Hits++
-			st.LastWarm = true
-			return &Assignment{Bin: append([]int(nil), st.bin...), Cost: st.cost}, true, nil
-		}
-		st.Misses++
-		st.LastWarm = false
-		st.valid = false
-	}
-	sol, err := roundShmoysTardos(ins, st)
-	if err != nil {
-		return nil, false, err
-	}
-	if st != nil {
-		st.n = ins.NumItems()
-		st.fpA, st.fpB = fpA, fpB
-		st.bin = append(st.bin[:0], sol.Bin...)
-		st.cost = sol.Cost
-		st.valid = true
-	}
-	return sol, false, nil
 }

@@ -198,125 +198,3 @@ func TestTransportWarmInvalidate(t *testing.T) {
 	var nilState *TransportState
 	nilState.Invalidate() // must not panic
 }
-
-func randomWarmInstance(r *rng.Source, n, m int) *Instance {
-	ins := &Instance{
-		Cost:   make([][]float64, n),
-		Weight: make([][]float64, n),
-		Cap:    make([]float64, m),
-	}
-	for j := 0; j < n; j++ {
-		ins.Cost[j] = make([]float64, m)
-		ins.Weight[j] = make([]float64, m)
-		for i := 0; i < m; i++ {
-			ins.Cost[j][i] = r.FloatRange(0.5, 4)
-			ins.Weight[j][i] = r.FloatRange(0.2, 1.2)
-		}
-	}
-	for i := range ins.Cap {
-		ins.Cap[i] = r.FloatRange(1.5, 4)
-	}
-	return ins
-}
-
-func TestShmoysTardosWarmMatchesCold(t *testing.T) {
-	r := rng.New(53)
-	st := &RoundingState{}
-	ins := randomWarmInstance(r, 14, 5)
-	for round := 0; round < 20; round++ {
-		cold, err := SolveShmoysTardos(ins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warmSol, _, err := SolveShmoysTardosWarm(ins, st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(cold.Bin, warmSol.Bin) {
-			t.Fatalf("round %d: warm rounding diverges\ncold %v\nwarm %v", round, cold.Bin, warmSol.Bin)
-		}
-		if math.Float64bits(cold.Cost) != math.Float64bits(warmSol.Cost) {
-			t.Fatalf("round %d: cost %v != %v", round, warmSol.Cost, cold.Cost)
-		}
-		// Exact re-solve must hit.
-		hitSol, warm, err := SolveShmoysTardosWarm(ins, st)
-		if err != nil || !warm || !reflect.DeepEqual(cold.Bin, hitSol.Bin) {
-			t.Fatalf("round %d: exact hit broken (warm=%v err=%v)", round, warm, err)
-		}
-		// Perturb one item's costs for the next round.
-		j := r.Intn(len(ins.Cost))
-		for i := range ins.Cost[j] {
-			ins.Cost[j][i] = r.FloatRange(0.5, 4)
-		}
-	}
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("hits=%d misses=%d, want both nonzero", st.Hits, st.Misses)
-	}
-}
-
-func TestShmoysTardosComponentReuse(t *testing.T) {
-	// Two disconnected halves: items 0-1 can only use bins 0-1, items 2-3
-	// only bins 2-3. Perturbing one half must leave the other's component
-	// pinned from cache.
-	mk := func(c0 float64) *Instance {
-		F := math.Inf(1)
-		return &Instance{
-			Cost: [][]float64{
-				{c0, 2, F, F},
-				{2, 1, F, F},
-				{F, F, 1, 2},
-				{F, F, 2, 1},
-			},
-			Weight: [][]float64{
-				{1, 1, 1, 1},
-				{1, 1, 1, 1},
-				{1, 1, 1, 1},
-				{1, 1, 1, 1},
-			},
-			Cap: []float64{1, 1, 1, 1},
-		}
-	}
-	st := &RoundingState{}
-	if _, _, err := SolveShmoysTardosWarm(mk(1), st); err != nil {
-		t.Fatal(err)
-	}
-	ins := mk(1.5)
-	cold, err := SolveShmoysTardos(ins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmSol, warm, err := SolveShmoysTardosWarm(ins, st)
-	if err != nil || warm {
-		t.Fatalf("warm=%v err=%v", warm, err)
-	}
-	if !reflect.DeepEqual(cold.Bin, warmSol.Bin) {
-		t.Fatalf("diverged: cold %v warm %v", cold.Bin, warmSol.Bin)
-	}
-	if st.LastCompTotal < 2 || st.LastCompReused < 1 {
-		t.Fatalf("expected an untouched component to be reused (reused=%d total=%d)",
-			st.LastCompReused, st.LastCompTotal)
-	}
-}
-
-func TestShmoysTardosWarmFuzzDifferential(t *testing.T) {
-	r := rng.New(71)
-	for trial := 0; trial < 15; trial++ {
-		n, m := r.IntRange(4, 12), r.IntRange(2, 5)
-		ins := randomWarmInstance(r, n, m)
-		st := &RoundingState{}
-		for round := 0; round < 6; round++ {
-			cold, cerr := SolveShmoysTardos(ins)
-			warmSol, _, werr := SolveShmoysTardosWarm(ins, st)
-			if (cerr == nil) != (werr == nil) {
-				t.Fatalf("trial %d round %d: error mismatch cold=%v warm=%v", trial, round, cerr, werr)
-			}
-			if cerr == nil && !reflect.DeepEqual(cold.Bin, warmSol.Bin) {
-				t.Fatalf("trial %d round %d: bins diverge\ncold %v\nwarm %v", trial, round, cold.Bin, warmSol.Bin)
-			}
-			j := r.Intn(n)
-			for i := 0; i < m; i++ {
-				ins.Cost[j][i] = r.FloatRange(0.5, 4)
-			}
-		}
-	}
-}

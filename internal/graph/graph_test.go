@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -163,7 +164,7 @@ func TestDijkstraMatchesBellmanFord(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(2))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -166,11 +166,6 @@ type Solution struct {
 	// certify optimality through strong duality: Objective == Σ_i b_i·y_i
 	// with y_i <= 0 for LE rows, y_i >= 0 for GE rows, and free for EQ.
 	Duals []float64
-	// Basis records the optimal basis (Optimal only): Basis[r] is the
-	// tableau column — decision, slack/surplus, or artificial — basic in
-	// constraint row r. It can seed SolveWithBasis on a nearby problem of
-	// the same shape to skip phase 1 and most phase-2 pivots.
-	Basis []int
 }
 
 const eps = 1e-9
@@ -209,6 +204,5 @@ func (p *Problem) Solve() (Solution, error) {
 		X:         x,
 		Objective: obj,
 		Duals:     t.duals(p.objective),
-		Basis:     append([]int(nil), t.basis...),
 	}, nil
 }

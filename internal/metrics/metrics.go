@@ -147,6 +147,14 @@ func validName(s string) bool {
 	return true
 }
 
+// Escapers for the text format: label values escape backslash, line feed
+// and double quote; HELP docstrings only backslash and line feed. Built
+// once, since label rendering runs on every registry lookup.
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
+
 // renderLabels turns ("k1", "v1", "k2", "v2") pairs into a canonical label
 // block. Pairs are sorted by key so the same label set always maps to the
 // same series. Panics on malformed input — label sets are compile-time
@@ -173,7 +181,7 @@ func renderLabels(kv []string) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		v := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`).Replace(p.v)
+		v := labelEscaper.Replace(p.v)
 		b.WriteString(p.k)
 		b.WriteString(`="`)
 		b.WriteString(v)
@@ -303,7 +311,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if f.help != "" {
 			// The format is line-oriented: HELP docstrings must escape
 			// backslashes and line feeds or they corrupt the exposition.
-			help := strings.NewReplacer(`\`, `\\`, "\n", `\n`).Replace(f.help)
+			help := helpEscaper.Replace(f.help)
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, help); err != nil {
 				return err
 			}

@@ -9,6 +9,7 @@ package metrics
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -49,6 +50,7 @@ func ParseText(r io.Reader) ([]Family, error) {
 	pendingName := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Split(scanLF)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -66,7 +68,11 @@ func ParseText(r io.Reader) ([]Family, error) {
 			if sp < 0 {
 				return nil, fmt.Errorf("metrics: line %d: HELP without docstring: %q", lineNo, line)
 			}
-			pendingName, pendingHelp = rest[:sp], rest[sp+1:]
+			help, ok := unescapeHelp(rest[sp+1:])
+			if !ok {
+				return nil, fmt.Errorf("metrics: line %d: invalid escape in HELP: %q", lineNo, line)
+			}
+			pendingName, pendingHelp = rest[:sp], help
 		case strings.HasPrefix(line, "# TYPE "):
 			fields := strings.Fields(strings.TrimPrefix(line, "# TYPE "))
 			if len(fields) != 2 {
@@ -116,6 +122,47 @@ func ParseText(r io.Reader) ([]Family, error) {
 		return nil, fmt.Errorf("metrics: trailing HELP for %q without TYPE", pendingName)
 	}
 	return fams, nil
+}
+
+// scanLF splits on line feeds only. The text format ends every line with
+// \n; a carriage return is data, which bufio.ScanLines would silently drop
+// from the end of a line.
+func scanLF(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
+
+// unescapeHelp decodes a HELP docstring, whose only escapes are \\ and \n.
+// ok is false for any other backslash sequence.
+func unescapeHelp(s string) (string, bool) {
+	if strings.IndexByte(s, '\\') < 0 {
+		return s, true
+	}
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		if s[i] != '\\' {
+			b.WriteByte(s[i])
+			continue
+		}
+		if i+1 >= len(s) {
+			return "", false
+		}
+		i++
+		switch s[i] {
+		case '\\':
+			b.WriteByte('\\')
+		case 'n':
+			b.WriteByte('\n')
+		default:
+			return "", false
+		}
+	}
+	return b.String(), true
 }
 
 // parseSampleLine parses `name{k="v",...} value` with full escape handling.

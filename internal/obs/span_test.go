@@ -188,11 +188,11 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 	bad := []string{
 		"",
 		"garbage",
-		valid[:len(valid)-1],                    // truncated
-		"01" + valid[2:],                        // unknown version
-		strings.Replace(valid, "-", "_", 1),     // wrong separator
-		"00-" + strings.Repeat("0", 32) + "-0000000000000001-01", // all-zero trace
-		"00-" + MintTraceID(1, 2) + "-0000000000000000-01",       // all-zero parent
+		valid[:len(valid)-1],                // truncated
+		"01" + valid[2:],                    // unknown version
+		strings.Replace(valid, "-", "_", 1), // wrong separator
+		"00-" + strings.Repeat("0", 32) + "-0000000000000001-01",              // all-zero trace
+		"00-" + MintTraceID(1, 2) + "-0000000000000000-01",                    // all-zero parent
 		"00-" + strings.ToUpper(MintTraceID(10, 11)) + "-0000000000000001-01", // uppercase hex
 	}
 	for _, h := range bad {

@@ -59,10 +59,10 @@ type state struct {
 	// health endpoint; cleared by the next successful epoch.
 	lastEpochErr string
 
-	// solve carries the warm-start caches across this market's epochs
-	// (reduction fingerprints, cached transport network, rounding
-	// components, last LCF result). Loop-owned like everything else here;
-	// epoch outcomes are byte-identical with or without it.
+	// solve carries the transport solve across this market's epochs (an
+	// exact copy of the last GAP reduction, its assignment, the flow
+	// network). Loop-owned like everything else here; epoch outcomes are
+	// byte-identical with or without it.
 	solve dynamic.EpochSolveState
 }
 

@@ -745,7 +745,7 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc
 		}
 		args := []any{
 			"reqID", id, "route", pattern, "method", r.Method, "path", r.URL.Path,
-			"status", sw.status, "durationMs", float64(elapsed.Microseconds())/1000,
+			"status", sw.status, "durationMs", float64(elapsed.Microseconds()) / 1000,
 		}
 		if tc != nil {
 			args = append(args, "trace", tc.trace)

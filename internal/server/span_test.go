@@ -550,12 +550,13 @@ func TestEpochWarmTierObservable(t *testing.T) {
 		`mecd_epoch_solves_total{tier="cold"} 1`,
 		`mecd_epoch_solves_total{tier="exact"} 1`,
 		`mecd_epoch_solves_total{tier="incremental"} 1`,
-		`mecd_epoch_solves_total{tier="result"} 0`,
-		`mecd_epoch_solves_total{tier="rounding"} 0`,
 	} {
 		if !strings.Contains(body.String(), line+"\n") {
 			t.Fatalf("/metrics lacks %q", line)
 		}
+	}
+	if n := strings.Count(body.String(), "\nmecd_epoch_solves_total{"); n != 3 {
+		t.Fatalf("/metrics has %d mecd_epoch_solves_total series, want exactly 3 tiers", n)
 	}
 }
 
